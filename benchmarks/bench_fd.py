@@ -1,15 +1,15 @@
-"""FD discovery benchmark: single-pass ``discover_fds`` vs the old loop.
+"""FD discovery benchmark: single-pass ``discover_fds`` on synthetic tables.
 
 Times functional-dependency discovery on synthetic tables of 1k–50k rows
-against ``discover_fds_baseline`` (the original implementation, which
-re-materialises and re-stringifies the table for every column pair), checks
-the candidate lists are byte-identical, and writes ``BENCH_fd.json`` in the
-schema described in ``docs/benchmarks.md``.
+against the committed ``BENCH_fd.json`` number for the same case, checks the
+candidate count matches the committed one, and writes ``BENCH_fd.json`` in
+the schema described in ``docs/benchmarks.md``.  Exact parity with the
+per-pair loop it replaced is pinned by ``tests/profiling/test_fd_parity.py``.
 
 Run it from the repo root::
 
-    PYTHONPATH=src python benchmarks/bench_fd.py              # full, ~minutes
-    PYTHONPATH=src python benchmarks/bench_fd.py --smoke      # seconds, CI
+    PYTHONPATH=src python benchmarks/bench_fd.py              # full, seconds
+    PYTHONPATH=src python benchmarks/bench_fd.py --smoke      # CI
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 import benchlib
 
 from repro.dataframe.table import Table
-from repro.profiling import discover_fds, discover_fds_baseline
+from repro.profiling import discover_fds
 
 
 def make_table(rows: int, columns: int, rng: random.Random) -> Table:
@@ -50,13 +50,8 @@ def make_table(rows: int, columns: int, rng: random.Random) -> Table:
     return Table.from_dict("synthetic", data)
 
 
-# (rows, columns, baseline_repeats_full)
-CASES = [
-    (1000, 8, 3),
-    (5000, 8, 2),
-    (20000, 8, 1),
-    (50000, 6, 1),
-]
+# (rows, columns)
+CASES = [(1000, 8), (5000, 8), (20000, 8), (50000, 6)]
 
 SMOKE_ROWS = 500
 
@@ -74,38 +69,16 @@ def main(argv=None) -> int:
     parser.add_argument("--min-score", type=float, default=0.5)
     args = parser.parse_args(argv)
 
+    committed = benchlib.load_committed("BENCH_fd.json")
     cases = []
-    ok = True
-    for rows, columns, baseline_repeats in CASES:
+    for rows, columns in CASES:
         if args.smoke:
             rows = min(rows, SMOKE_ROWS)
-            baseline_repeats = 1
-        rng = random.Random(args.seed)
-        table = make_table(rows, columns, rng)
-
-        new = discover_fds(table, min_score=args.min_score)
-        old = discover_fds_baseline(table, min_score=args.min_score)
-        parity = len(new) == len(old) and all(
-            a == b and repr(a.score) == repr(b.score) for a, b in zip(new, old)
-        )
-        ok = ok and parity
-
-        optimised_seconds = benchlib.measure(
-            lambda: discover_fds(table, min_score=args.min_score), args.repeats
-        )
-        baseline_seconds = benchlib.measure(
-            lambda: discover_fds_baseline(table, min_score=args.min_score), baseline_repeats
-        )
-        cases.append(
-            benchlib.case_result(
-                f"discover_fds_{rows}x{columns}",
-                {"rows": rows, "columns": columns, "min_score": args.min_score},
-                baseline_seconds,
-                optimised_seconds,
-                output_rows=len(new),
-                parity=parity,
-            )
-        )
+        table = make_table(rows, columns, random.Random(args.seed))
+        found = len(discover_fds(table, min_score=args.min_score))
+        seconds = benchlib.measure(lambda: discover_fds(table, min_score=args.min_score), args.repeats)
+        params = {"rows": rows, "columns": columns, "min_score": args.min_score}
+        cases.append(benchlib.committed_case(committed, f"discover_fds_{rows}x{columns}", params, seconds, found))
 
     report = benchlib.write_report(
         args.out,
@@ -115,8 +88,8 @@ def main(argv=None) -> int:
         cases,
     )
     benchlib.print_cases(report)
-    if not ok:
-        print("ERROR: discover_fds and discover_fds_baseline disagreed", file=sys.stderr)
+    if not all(case.get("parity", True) for case in cases):
+        print("ERROR: candidate counts differ from the committed BENCH_fd.json", file=sys.stderr)
         return 1
     return 0
 

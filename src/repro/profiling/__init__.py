@@ -13,7 +13,6 @@ from repro.profiling.table_profile import TableProfile, profile_table
 from repro.profiling.fd import (
     FDCandidate,
     discover_fds,
-    discover_fds_baseline,
     fd_entropy_score,
     fd_violation_groups,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "profile_table",
     "FDCandidate",
     "discover_fds",
-    "discover_fds_baseline",
     "fd_entropy_score",
     "fd_violation_groups",
     "duplicate_row_count",

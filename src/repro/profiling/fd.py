@@ -9,8 +9,8 @@ exact dependencies and decreases as violations grow.
 :func:`discover_fds` makes a single stringification pass over the table and
 shares one non-null value index per determinant across all dependents, then
 derives the entropy score and the violation groups for each pair from one
-joint pass — the naive per-pair re-materialisation it replaces is kept as
-:func:`discover_fds_baseline` for parity tests and benchmarks.
+joint pass.  ``tests/profiling/fd_baseline.py`` keeps the naive per-pair
+re-materialisation it replaced, and the parity tests pin the two together.
 """
 
 from __future__ import annotations
@@ -117,7 +117,7 @@ def discover_fds(
     dependent, and the entropy score and violation groups of a pair come out
     of one joint pass over that index — candidates are identical (to the
     bit, including float scores and tie order) to the quadratic
-    re-materialising :func:`discover_fds_baseline` this replaces.
+    re-materialising loop this replaced (``tests/profiling/fd_baseline.py``).
     """
     names = list(columns) if columns else table.column_names
     num_rows = table.num_rows
@@ -182,60 +182,6 @@ def discover_fds(
                 if len(counter) > 1
             ]
             violations.sort(key=lambda item: -sum(c for _, c in item[1]))
-            violating_rows = sum(
-                sum(c for _, c in rhs[1:]) for _, rhs in violations
-            )
-            candidates.append(
-                FDCandidate(
-                    determinant=determinant,
-                    dependent=dependent,
-                    score=score,
-                    violating_groups=len(violations),
-                    violating_rows=violating_rows,
-                )
-            )
-    candidates.sort(key=lambda c: (-c.score, c.determinant, c.dependent))
-    return candidates
-
-
-def discover_fds_baseline(
-    table: Table,
-    min_score: float = 0.9,
-    max_determinant_distinct_ratio: float = 0.95,
-    columns: Sequence[str] = (),
-) -> List[FDCandidate]:
-    """The original O(k²) re-materialising discovery loop.
-
-    Calls :func:`fd_entropy_score` and :func:`fd_violation_groups` per column
-    pair, re-reading and re-stringifying the table each time.  Kept as the
-    reference implementation: ``tests/profiling/test_fd_parity.py`` pins
-    :func:`discover_fds` to its exact output and ``benchmarks/bench_fd.py``
-    measures the single-pass rewrite against it.
-    """
-    names = list(columns) if columns else table.column_names
-    candidates: List[FDCandidate] = []
-    distinct_ratio = {}
-    distinct_count = {}
-    for name in names:
-        column = table.column(name)
-        non_null = column.non_null()
-        distinct = len(set(str(v) for v in non_null))
-        distinct_count[name] = distinct
-        distinct_ratio[name] = distinct / len(non_null) if non_null else 0.0
-    for determinant in names:
-        if distinct_ratio[determinant] > max_determinant_distinct_ratio:
-            continue
-        if distinct_count[determinant] <= 1:
-            continue
-        for dependent in names:
-            if dependent == determinant:
-                continue
-            if distinct_count[dependent] <= 1:
-                continue
-            score = fd_entropy_score(table, determinant, dependent)
-            if score < min_score:
-                continue
-            violations = fd_violation_groups(table, determinant, dependent)
             violating_rows = sum(
                 sum(c for _, c in rhs[1:]) for _, rhs in violations
             )

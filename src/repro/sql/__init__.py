@@ -13,17 +13,18 @@ Cocoon pipeline emits and the profiler issues —
   ``REGEXP_REPLACE``/``COALESCE``/``NULLIF`` …)
 * aggregates with ``GROUP BY`` / ``HAVING``
 * window function ``ROW_NUMBER() OVER (PARTITION BY … ORDER BY …)``
-* ``INNER``/``LEFT`` joins — planned as index-backed hash joins whenever the
-  ``ON`` condition contains an equality between the two sides (with residual
-  predicates checked on probe hits), falling back to a nested loop for pure
-  non-equi conditions; single-side ``WHERE`` conjuncts are pushed below joins
+* ``INNER``/``LEFT`` joins — hash-indexed whenever the ``ON`` condition
+  contains an equality between the two sides (with residual predicates
+  checked on the matched pairs), over all pairs otherwise; single-side
+  ``WHERE`` conjuncts are applied below the joins
 * ``WHERE``, ``ORDER BY``, ``LIMIT``, derived tables in ``FROM``
 * ``CREATE [OR REPLACE] TABLE/VIEW … AS SELECT`` and ``DROP TABLE``
 
 The entry point is :class:`repro.sql.database.Database`; the layers beneath
 it are :mod:`repro.sql.tokenizer` → :mod:`repro.sql.parser` (AST in
-:mod:`repro.sql.ast_nodes`) → :mod:`repro.sql.executor` over a
-:mod:`repro.sql.catalog`.  ``docs/architecture.md`` places the package in
+:mod:`repro.sql.ast_nodes`) → :mod:`repro.sql.planner` →
+:mod:`repro.sql.executor` (expressions compiled by :mod:`repro.sql.compiler`)
+over a :mod:`repro.sql.catalog`.  ``docs/architecture.md`` places the package in
 the full system; ``docs/benchmarks.md`` tracks executor performance.
 """
 

@@ -118,6 +118,26 @@ class WindowFunction(Expression):
     window: WindowSpec = field(default_factory=WindowSpec)
 
 
+def children(expr: Expression) -> List[Expression]:
+    """The direct sub-expressions of ``expr``; a window function is a leaf."""
+    if isinstance(expr, (UnaryOp, IsNull, Cast)):
+        return [expr.operand]
+    if isinstance(expr, BinaryOp):
+        return [expr.left, expr.right]
+    if isinstance(expr, FunctionCall):
+        return expr.args
+    if isinstance(expr, CaseWhen):
+        parts = [part for pair in expr.whens for part in pair]
+        return parts + [e for e in (expr.default, expr.operand) if e is not None]
+    if isinstance(expr, Like):
+        return [expr.operand, expr.pattern] + ([expr.escape] if expr.escape is not None else [])
+    if isinstance(expr, InList):
+        return [expr.operand] + expr.items
+    if isinstance(expr, Between):
+        return [expr.operand, expr.low, expr.high]
+    return []
+
+
 # --------------------------------------------------------------------------
 # Statements
 # --------------------------------------------------------------------------

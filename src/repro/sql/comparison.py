@@ -1,7 +1,7 @@
 """Value comparison semantics shared across the SQL engine.
 
 One definition of "equal", "less than" and "sorts before" serves the whole
-engine: ``=`` / ``<`` / ORDER BY in :mod:`repro.sql.executor`, hash-join
+engine: ``=`` / ``<`` / ORDER BY in :mod:`repro.sql.scalar`, hash-join
 bucket membership, and the MIN/MAX aggregates in
 :mod:`repro.sql.functions`.  Before this module existed the aggregates
 compared with raw ``<`` / ``>``, so a mixed ``str``/``int`` column raised

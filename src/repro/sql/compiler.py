@@ -15,19 +15,12 @@ literal branches become a dictionary built at compile time, and LIKE
 patterns hit the module-level regex LRU.  Per-row work reduces to closure
 calls over pre-bound vectors.
 
-Parity with the row-dict interpreter (``Executor._eval``) is the contract,
-not speed at any cost:
-
-* every null/short-circuit/error behaviour is mirrored node for node, using
-  the *same* helper functions (``_apply_binary``, ``_like_match``,
-  ``sql_equal``, ``compare_values``, ``coerce_value``);
-* errors stay **eval-time**: an unknown column, a misused aggregate or a
-  window function outside its context compiles into a *raising closure*, so
-  a query over an empty table raises exactly when the interpreter would
-  (never), with identical messages;
-* any expression node the compiler does not recognise falls back to a
-  closure that calls ``Executor._eval`` on a row dict materialised for that
-  row only — behavioural parity is the gate, not coverage.
+The compiler is total over the expression grammar, and the value semantics
+it applies live in :mod:`repro.sql.scalar` and :mod:`repro.sql.comparison`.
+Errors stay **eval-time**: an unknown column, a misused aggregate, a window
+function outside its context or an unsupported node compiles into a
+*raising closure*: a query over an empty table never raises, and the
+``ExecutionError`` comes when the first row reaches the closure.
 """
 
 from __future__ import annotations
@@ -55,6 +48,7 @@ from repro.sql.ast_nodes import (
 from repro.sql.comparison import compare_values, parse_num, sql_equal
 from repro.sql.errors import ExecutionError
 from repro.sql.functions import AGGREGATE_NAMES, call_scalar, make_aggregate
+from repro.sql.scalar import apply_binary, apply_unary, between, like_match, truthy
 
 ScalarFn = Callable[[int], Any]
 AggregateFn = Callable[[Sequence[int]], Any]
@@ -69,22 +63,16 @@ class ColumnarBinding:
     executor rebinds after every gather.
     """
 
-    def __init__(self, executor: Any, names: Sequence[str], vectors: Sequence[List[Any]]):
-        self.executor = executor
+    def __init__(self, names: Sequence[str], vectors: Sequence[List[Any]]):
         self.names: List[str] = list(names)
-        self.vectors: List[List[Any]] = list(vectors)
-        self._by_name: Dict[str, List[Any]] = dict(zip(self.names, self.vectors))
-
-    # -- row materialisation (fallback path only) ---------------------------
-    def make_row(self, i: int) -> Dict[str, Any]:
-        """The row dict the interpreter would see for row ``i``."""
-        return {name: vec[i] for name, vec in zip(self.names, self.vectors)}
+        self._by_name: Dict[str, List[Any]] = dict(zip(self.names, vectors))
 
     def vector_for(self, ref: ColumnRef) -> Optional[List[Any]]:
         """The vector a column reference resolves to, or None if unknown.
 
-        Mirrors ``Executor._eval``'s lookup order on a single-table row:
-        the qualified ``alias.column`` key first, then the bare name.
+        The qualified ``alias.column`` name first, then the bare name.  A
+        single-table binding holds bare names only, so its alias is never
+        checked; a join binding holds both (see ``Executor._join``).
         """
         key = ref.qualified if ref.table else ref.name
         if key in self._by_name:
@@ -96,13 +84,6 @@ class ColumnarBinding:
     # -- scalar compilation -------------------------------------------------
     def compile(self, expr: Expression, windows: WindowValues = None) -> ScalarFn:
         """Compile ``expr`` to ``fn(i) -> value`` over this binding's vectors."""
-        from repro.sql.executor import (  # local import: executor imports this module
-            _apply_binary,
-            _apply_unary,
-            _like_match,
-            _truthy,
-        )
-
         if isinstance(expr, Literal):
             value = expr.value
             return lambda i: value
@@ -129,7 +110,7 @@ class ColumnarBinding:
         if isinstance(expr, UnaryOp):
             operand_fn = self.compile(expr.operand, windows)
             op = expr.op
-            return lambda i: _apply_unary(op, operand_fn(i))
+            return lambda i: apply_unary(op, operand_fn(i))
 
         if isinstance(expr, BinaryOp):
             op = expr.op
@@ -146,7 +127,7 @@ class ColumnarBinding:
                         return False
                     if is_null(left) or is_null(right):
                         return None
-                    return _truthy(left) and _truthy(right)
+                    return truthy(left) and truthy(right)
 
                 return and_fn
             if op == "OR":
@@ -155,10 +136,10 @@ class ColumnarBinding:
 
                 def or_fn(i: int) -> Any:
                     left = left_fn(i)
-                    if _truthy(left):
+                    if truthy(left):
                         return True
                     right = right_fn(i)
-                    if _truthy(right):
+                    if truthy(right):
                         return True
                     if is_null(left) or is_null(right):
                         return None
@@ -208,7 +189,7 @@ class ColumnarBinding:
                     return cmp < 0 if below else cmp > 0
 
                 return cmp_fn
-            return lambda i: _apply_binary(op, left_fn(i), right_fn(i))
+            return lambda i: apply_binary(op, left_fn(i), right_fn(i))
 
         if isinstance(expr, Like):
             value_fn = self.compile(expr.operand, windows)
@@ -221,7 +202,7 @@ class ColumnarBinding:
                 escape = escape_fn(i) if escape_fn is not None else None
                 if is_null(value) or is_null(pattern) or (escape_fn is not None and is_null(escape)):
                     return None
-                return _like_match(value, pattern, escape)
+                return like_match(value, pattern, escape)
 
             return like_fn
 
@@ -252,8 +233,8 @@ class ColumnarBinding:
                 value = operand_fn(i)
                 if is_null(value):
                     return None
-                # Evaluate every item, like the interpreter's list comprehension
-                # (an item that raises must raise even after a match).
+                # Evaluate every item: one that raises must raise even after
+                # a match.
                 items = [fn(i) for fn in item_fns]
                 found = any((not is_null(item)) and sql_equal(value, item) for item in items)
                 return (not found) if negated else found
@@ -265,17 +246,7 @@ class ColumnarBinding:
             low_fn = self.compile(expr.low, windows)
             high_fn = self.compile(expr.high, windows)
             negated = expr.negated
-
-            def between_fn(i: int) -> Any:
-                value = operand_fn(i)
-                low = low_fn(i)
-                high = high_fn(i)
-                if is_null(value) or is_null(low) or is_null(high):
-                    return None
-                inside = low <= value <= high
-                return (not inside) if negated else inside
-
-            return between_fn
+            return lambda i: between(operand_fn(i), low_fn(i), high_fn(i), negated)
 
         if isinstance(expr, CaseWhen):
             return self._compile_case(expr, windows)
@@ -305,18 +276,20 @@ class ColumnarBinding:
             arg_fns = [self.compile(a, windows) for a in expr.args]
             return lambda i: call_scalar(name, [fn(i) for fn in arg_fns])
 
-        # Unknown node: fall back to the row-dict interpreter for this row.
-        return self._fallback(expr, windows)
+        node = type(expr).__name__
+
+        def unsupported(i: int) -> Any:
+            raise ExecutionError(f"Unsupported expression node: {node}")
+
+        return unsupported
 
     def _compile_case(self, expr: CaseWhen, windows: WindowValues) -> ScalarFn:
-        from repro.sql.executor import _truthy
-
         default_fn = self.compile(expr.default, windows) if expr.default is not None else None
         if expr.operand is not None:
             subject_fn = self.compile(expr.operand, windows)
             if all(isinstance(cond, Literal) for cond, _ in expr.whens):
                 # CASE col WHEN <literal> ... with literal branches compiles to a
-                # dict lookup (duplicate keys: last wins, like the interpreter).
+                # dict lookup (duplicate keys: last wins).
                 lookup = {str(cond.value): self.compile(result, windows) for cond, result in expr.whens}
 
                 def case_lookup_fn(i: int) -> Any:
@@ -343,31 +316,22 @@ class ColumnarBinding:
 
         def case_searched_fn(i: int) -> Any:
             for cond_fn, result_fn in when_fns:
-                if _truthy(cond_fn(i)):
+                if truthy(cond_fn(i)):
                     return result_fn(i)
             return default_fn(i) if default_fn is not None else None
 
         return case_searched_fn
 
-    def _fallback(self, expr: Expression, windows: WindowValues) -> ScalarFn:
-        executor = self.executor
-
-        def fallback_fn(i: int) -> Any:
-            return executor._eval(expr, self.make_row(i), window_values=windows, row_index=i)
-
-        return fallback_fn
-
     # -- aggregate compilation ---------------------------------------------
     def compile_aggregate(self, expr: Expression) -> AggregateFn:
         """Compile ``expr`` to ``fn(indices) -> value`` over groups of rows.
 
-        Mirrors ``Executor._eval_aggregate_expr`` node for node: aggregate
-        calls fold their argument over the group, scalar operators combine
-        aggregate sub-results, and any other expression evaluates on the
-        group's first row (it is a grouping expression, constant per group).
+        Aggregate calls fold their argument over the group, scalar operators
+        combine aggregate sub-results, and any other expression evaluates on
+        the group's first row (it is a grouping expression, constant per
+        group) — or, for the one empty group of a global aggregate, against
+        an empty binding, where any column reference is unknown.
         """
-        from repro.sql.executor import _apply_binary, _apply_unary, _like_match
-
         if isinstance(expr, FunctionCall) and expr.name in AGGREGATE_NAMES:
             name = expr.name
             distinct = expr.distinct
@@ -395,12 +359,12 @@ class ColumnarBinding:
             left_fn = self.compile_aggregate(expr.left)
             right_fn = self.compile_aggregate(expr.right)
             op = expr.op
-            return lambda indices: _apply_binary(op, left_fn(indices), right_fn(indices))
+            return lambda indices: apply_binary(op, left_fn(indices), right_fn(indices))
 
         if isinstance(expr, UnaryOp):
             operand_fn = self.compile_aggregate(expr.operand)
             op = expr.op
-            return lambda indices: _apply_unary(op, operand_fn(indices))
+            return lambda indices: apply_unary(op, operand_fn(indices))
 
         if isinstance(expr, Like):
             value_fn = self.compile_aggregate(expr.operand)
@@ -413,7 +377,7 @@ class ColumnarBinding:
                 escape = escape_fn(indices) if escape_fn is not None else None
                 if is_null(value) or is_null(pattern) or (escape_fn is not None and is_null(escape)):
                     return None
-                return _like_match(value, pattern, escape)
+                return like_match(value, pattern, escape)
 
             return like_agg_fn
 
@@ -427,25 +391,13 @@ class ColumnarBinding:
             arg_fns = [self.compile_aggregate(a) for a in expr.args]
             return lambda indices: call_scalar(name, [fn(indices) for fn in arg_fns])
 
-        if isinstance(expr, CaseWhen):
-            scalar_fn = self.compile(expr)
-            executor = self.executor
-
-            def case_agg_fn(indices: Sequence[int]) -> Any:
-                if indices:
-                    return scalar_fn(indices[0])
-                return executor._eval_case(expr, {}, None, None)
-
-            return case_agg_fn
-
-        # Grouping expression: evaluate on the group's first row.
+        # Grouping expression (CASE included): evaluate on the group's first row.
         scalar_fn = self.compile(expr)
-        executor = self.executor
 
         def first_row_fn(indices: Sequence[int]) -> Any:
             if indices:
                 return scalar_fn(indices[0])
-            return executor._eval(expr, {})
+            return ColumnarBinding([], []).compile(expr)(0)
 
         return first_row_fn
 
@@ -457,7 +409,7 @@ def _compile_const_compare(left_fn: ScalarFn, op: str, lit: Any) -> Optional[Sca
     the per-row work of the common ``col = 'x'`` / ``col < 5`` predicates
     drops to a type check and a direct comparison.  Every branch mirrors
     ``sql_equal``/``compare_values`` exactly — numeric operands compare as
-    floats (so oversized ints keep the interpreter's float rounding), NaN
+    floats (so oversized ints keep the generic path's float rounding), NaN
     values read as NULL, and any operand type outside the fast paths falls
     through to the shared helpers.  Literal shapes this function does not
     cover return None and compile through the generic closures.

@@ -10,15 +10,12 @@ re-derived inside ``Executor._execute_select`` on the fly:
 * whether the query aggregates (``GROUP BY`` present, or any aggregate
   function in the select list / ``HAVING``);
 * the set of window-function nodes referenced by the select list and
-  ``QUALIFY`` (collected once, not per execution phase);
-* whether the **columnar engine** may run the query: single-table queries
-  (a real ``FROM`` item, no joins) evaluate over column vectors with every
-  predicate/expression compiled once per query by
-  :mod:`repro.sql.compiler`; anything else runs on the row-dict engine.
+  ``QUALIFY`` (collected once, not per execution phase).
 
-Physical choices that depend on the *data* — hash join vs nested loop,
-which ``WHERE`` conjuncts move below a join — still bind at execution time
-when the input schemas are known; the plan records the logical stages they
+Every plan runs on the one columnar pipeline in :mod:`repro.sql.executor`.
+Physical choices that depend on the *inputs* — hash join vs nested loop,
+which ``WHERE`` conjuncts move below a join — bind at execution time when
+the input schemas are known; the plan records the logical stages they
 apply to.  ``SelectPlan.describe()`` renders the stage pipeline for humans
 and tests.
 """
@@ -29,22 +26,15 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.sql.ast_nodes import (
-    Between,
-    BinaryOp,
-    CaseWhen,
-    Cast,
     Expression,
     FunctionCall,
-    InList,
-    IsNull,
     Join,
-    Like,
     OrderItem,
     Select,
     SelectItem,
     TableRef,
-    UnaryOp,
     WindowFunction,
+    children,
 )
 from repro.sql.functions import AGGREGATE_NAMES
 
@@ -83,9 +73,8 @@ class JoinNode:
 class FilterNode:
     """Apply the WHERE predicate.
 
-    On joined queries, single-side conjuncts may be evaluated below a join
-    (predicate pushdown) at execution time; the node holds the full
-    predicate.
+    On joined queries, single-side conjuncts are evaluated below the joins
+    at execution time; the node holds the full predicate.
     """
 
     predicate: Expression
@@ -174,7 +163,7 @@ class LimitNode:
 
 @dataclass
 class SelectPlan:
-    """The planned form of one SELECT, consumed by both executor engines."""
+    """The planned form of one SELECT, consumed by the executor."""
 
     select: Select
     scan: Optional[ScanNode]
@@ -187,10 +176,6 @@ class SelectPlan:
     distinct: Optional[DistinctNode] = None
     order: Optional[OrderNode] = None
     limit: Optional[LimitNode] = None
-    #: True when the columnar engine can run this plan (single-table query);
-    #: ``columnar_blocked_by`` names the reason when it cannot.
-    columnar_eligible: bool = True
-    columnar_blocked_by: Optional[str] = None
 
     @property
     def windows(self) -> List[WindowFunction]:
@@ -223,12 +208,7 @@ class SelectPlan:
 
     def describe(self) -> str:
         """Human-readable pipeline, one stage per line (for tests and EXPLAIN)."""
-        engine = "columnar" if self.columnar_eligible else "rowdict"
-        lines = [f"SelectPlan engine={engine}"]
-        if not self.columnar_eligible and self.columnar_blocked_by:
-            lines[0] += f" (blocked by: {self.columnar_blocked_by})"
-        lines.extend(f"  {i}: {stage.label}" for i, stage in enumerate(self.stages()))
-        return "\n".join(lines)
+        return "\n".join(f"{i}: {stage.label}" for i, stage in enumerate(self.stages()))
 
 
 # --------------------------------------------------------------------------
@@ -236,32 +216,9 @@ class SelectPlan:
 # --------------------------------------------------------------------------
 def contains_aggregate(expr: Expression) -> bool:
     """True when ``expr`` contains an aggregate function call."""
-    if isinstance(expr, FunctionCall):
-        if expr.name in AGGREGATE_NAMES:
-            return True
-        return any(contains_aggregate(a) for a in expr.args)
-    if isinstance(expr, BinaryOp):
-        return contains_aggregate(expr.left) or contains_aggregate(expr.right)
-    if isinstance(expr, UnaryOp):
-        return contains_aggregate(expr.operand)
-    if isinstance(expr, Cast):
-        return contains_aggregate(expr.operand)
-    if isinstance(expr, CaseWhen):
-        parts: List[Expression] = []
-        for cond, res in expr.whens:
-            parts.extend([cond, res])
-        if expr.default is not None:
-            parts.append(expr.default)
-        if expr.operand is not None:
-            parts.append(expr.operand)
-        return any(contains_aggregate(p) for p in parts)
-    if isinstance(expr, (IsNull, Between)):
-        return contains_aggregate(expr.operand)
-    if isinstance(expr, Like):
-        return contains_aggregate(expr.operand) or contains_aggregate(expr.pattern)
-    if isinstance(expr, InList):
-        return contains_aggregate(expr.operand) or any(contains_aggregate(i) for i in expr.items)
-    return False
+    if isinstance(expr, FunctionCall) and expr.name in AGGREGATE_NAMES:
+        return True
+    return any(contains_aggregate(child) for child in children(expr))
 
 
 def collect_windows(expr: Expression, out: List[WindowFunction]) -> None:
@@ -269,35 +226,8 @@ def collect_windows(expr: Expression, out: List[WindowFunction]) -> None:
     if isinstance(expr, WindowFunction):
         out.append(expr)
         return
-    if isinstance(expr, FunctionCall):
-        for a in expr.args:
-            collect_windows(a, out)
-    elif isinstance(expr, BinaryOp):
-        collect_windows(expr.left, out)
-        collect_windows(expr.right, out)
-    elif isinstance(expr, UnaryOp):
-        collect_windows(expr.operand, out)
-    elif isinstance(expr, Cast):
-        collect_windows(expr.operand, out)
-    elif isinstance(expr, CaseWhen):
-        for cond, res in expr.whens:
-            collect_windows(cond, out)
-            collect_windows(res, out)
-        if expr.default is not None:
-            collect_windows(expr.default, out)
-        if expr.operand is not None:
-            collect_windows(expr.operand, out)
-    elif isinstance(expr, (IsNull, Between)):
-        collect_windows(expr.operand, out)
-    elif isinstance(expr, Like):
-        collect_windows(expr.operand, out)
-        collect_windows(expr.pattern, out)
-        if expr.escape is not None:
-            collect_windows(expr.escape, out)
-    elif isinstance(expr, InList):
-        collect_windows(expr.operand, out)
-        for i in expr.items:
-            collect_windows(i, out)
+    for child in children(expr):
+        collect_windows(child, out)
 
 
 def plan_select(select: Select) -> SelectPlan:
@@ -313,7 +243,7 @@ def plan_select(select: Select) -> SelectPlan:
     if select.qualify is not None:
         collect_windows(select.qualify, window_nodes)
 
-    plan = SelectPlan(
+    return SelectPlan(
         select=select,
         scan=ScanNode(select.from_table) if select.from_table is not None else None,
         joins=[JoinNode(join) for join in select.joins],
@@ -328,10 +258,3 @@ def plan_select(select: Select) -> SelectPlan:
         if select.limit is not None or select.offset is not None
         else None,
     )
-    if select.from_table is None:
-        plan.columnar_eligible = False
-        plan.columnar_blocked_by = "no FROM clause"
-    elif select.joins:
-        plan.columnar_eligible = False
-        plan.columnar_blocked_by = "joins"
-    return plan

@@ -6,10 +6,10 @@ state between batches.  This module mirrors the SQL the batch operators emit
 — ``QUALIFY ROW_NUMBER() OVER (PARTITION BY ... ORDER BY ...) = 1`` — cell
 for cell:
 
-* partition keys use the executor's ``_hashable`` normalisation (NULL folds
+* partition keys use the engine's ``hashable`` normalisation (NULL folds
   to one key; unhashable values stringify);
-* keep-order uses the executor's ``_sort_key`` (NULLs last, numerics by
-  value, strings lexicographic, DESC inverted) with Python's stable sort, so
+* keep-order uses the engine's ``sort_key`` (NULLs last, numbers before
+  text ascending and after it descending) with Python's stable sort, so
   ties keep the earliest row — exactly what ``ORDER BY`` + stable sort does
   in the executor;
 * output preserves input row order, like QUALIFY filtering a SELECT.
@@ -27,9 +27,9 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.plan import PlanStep
-# The QUALIFY replay must agree with the SQL executor bit for bit, so it
-# borrows the executor's own key normalisers rather than re-deriving them.
-from repro.sql.executor import _hashable, _sort_key
+# The QUALIFY replay must agree with the SQL engine bit for bit, so it
+# borrows the engine's own key normalisers rather than re-deriving them.
+from repro.sql.scalar import hashable, sort_key
 
 Row = Tuple[Any, ...]  # data-column values, in plan column order
 
@@ -183,13 +183,13 @@ def _batch_step_keys(
     """Per-step partition keys for a batch, built column-major.
 
     Each column index referenced by any step is normalised through
-    ``_hashable`` exactly once for the whole batch; per-step key tuples are
+    ``hashable`` exactly once for the whole batch; per-step key tuples are
     then assembled with ``zip`` over the shared normalised vectors.  Key
-    tuples are identical to the row-major ``tuple(_hashable(row[i]) ...)``
+    tuples are identical to the row-major ``tuple(hashable(row[i]) ...)``
     form, so they interoperate with keys stored across batches.
     """
     needed = {i for key_idx in key_indexes for i in key_idx}
-    normalised = {i: [_hashable(row[i]) for row in rows] for i in needed}
+    normalised = {i: [hashable(row[i]) for row in rows] for i in needed}
     step_keys: List[List[Tuple]] = []
     for key_idx in key_indexes:
         if key_idx:
@@ -233,7 +233,7 @@ def table_level_survivors(
         sort_keys: Optional[List[Tuple]] = None
         if order is not None:
             order_idx, descending = order
-            sort_keys = [_sort_key(row[order_idx], descending) for _, row in current]
+            sort_keys = [sort_key(row[order_idx], descending) for _, row in current]
         winners: Dict[Tuple, int] = {}
         for position, key in enumerate(keys):
             if sort_keys is None:

@@ -1,8 +1,8 @@
 """Single-pass FD discovery must reproduce the baseline bit for bit.
 
 ``discover_fds`` was rewritten to stringify each column once and share one
-non-null index per determinant; ``discover_fds_baseline`` is the original
-per-pair re-materialising loop.  The rewrite is only acceptable if its output
+non-null index per determinant; ``discover_fds_baseline`` (in
+``fd_baseline.py``) is the original per-pair re-materialising loop.  The rewrite is only acceptable if its output
 is *byte-identical* — same candidates, same order, and float scores equal to
 the last bit (``repr`` equality, not approx) — on the seed datasets and on
 adversarial synthetic tables.
@@ -16,7 +16,8 @@ import pytest
 
 from repro.dataframe import Table
 from repro.datasets import dataset_names, load_dataset
-from repro.profiling import discover_fds, discover_fds_baseline
+from fd_baseline import discover_fds_baseline
+from repro.profiling import discover_fds
 
 
 def assert_byte_identical(new, old):

@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dataframe.schema import is_null
-from repro.sql.executor import _compare, _sort_key
+from repro.sql.comparison import compare_values as _compare
+from repro.sql.scalar import sort_key as _sort_key
 
 all_floats = st.floats(allow_nan=True, allow_infinity=True)
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
@@ -91,10 +92,18 @@ class TestSortKeyTotality:
         assert reals == sorted(reals, reverse=True)
         assert all(math.isnan(v) for v in ordered[len(reals):])
 
-    @given(all_floats)
-    def test_nan_and_null_share_the_last_bucket(self, value):
-        key = _sort_key(value, False)
+    @given(all_floats, st.booleans())
+    def test_nan_and_null_share_the_last_bucket(self, value, descending):
+        key = _sort_key(value, descending)
+        null_key = _sort_key(None, descending)
         if is_null(value):
-            assert key == (1, "")
+            assert key == null_key
         else:
-            assert key[0] == 0
+            assert key < null_key
+
+    @given(st.text(), st.text())
+    def test_descending_text_keys_reverse_string_order(self, a, b):
+        # Over all of Unicode, prefixes included: a DESC key sorts first
+        # exactly when its string is greater.
+        assert (_sort_key(a, True) < _sort_key(b, True)) == (a > b)
+        assert (_sort_key(a, True) == _sort_key(b, True)) == (a == b)

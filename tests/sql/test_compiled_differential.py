@@ -1,33 +1,29 @@
-"""Differential suite: compiled columnar engine vs row-dict interpreter.
+"""Differential suite: the columnar engine vs the row-dict oracle.
 
-Every query here runs twice — ``Executor(compiled=True)`` and
-``Executor(compiled=False)`` over the same catalog — and the results must be
-cell-identical: same column names, same row order, and per cell either both
-NULL (``is_null``, which also covers NaN) or equal with the same type.
-Errors must match too: same exception class, same message.
+Every query here runs through ``rowdict_oracle.check``: once on
+:class:`~repro.sql.executor.Executor` and once on ``RowDictOracle`` over the
+same catalog, and the results must be cell-identical — same column names,
+same row order, per cell either both NULL or equal with the same type, and
+errors with the same class and message.
 
 Two layers:
 
 * a deterministic battery covering every expression node shape the compiler
-  handles (plus the shapes that must raise, and the empty-table cases that
-  must *not* raise);
+  handles (plus the shapes that must raise, the empty-table cases that must
+  *not* raise, and ordering/BETWEEN cases pinned to sqlite's answers);
 * a hypothesis layer generating random SELECTs — filters, group-bys,
   windows, LIKE/ESCAPE, NaN and mixed-type columns — against randomly drawn
   tables.
 """
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dataframe.schema import is_null
 from repro.dataframe.table import Table
 from repro.sql.catalog import Catalog
 from repro.sql.errors import ExecutionError
-from repro.sql.executor import Executor
-from repro.sql.parser import parse
+from rowdict_oracle import check
 
 
 def make_catalog(tables):
@@ -48,45 +44,6 @@ def mixed_table():
             "mixed": [1, "1", 2.0, "two", None, True, "True", float("nan")],
         },
     )
-
-
-def run_engine(catalog, sql, compiled):
-    executor = Executor(catalog, compiled=compiled)
-    try:
-        result = executor.execute(parse(sql))
-    except Exception as error:  # noqa: BLE001 - errors are part of the contract
-        return ("error", type(error), str(error)), executor.last_execution_mode
-    return ("table", result), executor.last_execution_mode
-
-
-def assert_cell_identical(sql, compiled_result, interpreted_result):
-    kind_c, kind_i = compiled_result[0], interpreted_result[0]
-    assert kind_c == kind_i, (
-        f"{sql!r}: compiled produced {compiled_result}, interpreter produced {interpreted_result}"
-    )
-    if kind_c == "error":
-        assert compiled_result[1:] == interpreted_result[1:], (
-            f"{sql!r}: error mismatch {compiled_result[1:]} vs {interpreted_result[1:]}"
-        )
-        return
-    table_c, table_i = compiled_result[1], interpreted_result[1]
-    assert table_c.column_names == table_i.column_names, sql
-    assert table_c.num_rows == table_i.num_rows, sql
-    for col_c, col_i in zip(table_c.columns, table_i.columns):
-        for row, (a, b) in enumerate(zip(col_c.values, col_i.values)):
-            if is_null(a) and is_null(b):
-                continue
-            assert type(a) is type(b) and a == b, (
-                f"{sql!r}: cell ({row}, {col_c.name}) differs: {a!r} vs {b!r}"
-            )
-
-
-def check(catalog, sql):
-    compiled_result, _ = run_engine(catalog, sql, compiled=True)
-    interpreted_result, mode = run_engine(catalog, sql, compiled=False)
-    assert mode == "rowdict" or mode is None
-    assert_cell_identical(sql, compiled_result, interpreted_result)
-    return compiled_result
 
 
 DETERMINISTIC_QUERIES = [
@@ -162,19 +119,48 @@ DETERMINISTIC_QUERIES = [
     "SELECT k FROM t ORDER BY k LIMIT 3 OFFSET 2",
     "SELECT k FROM t LIMIT 2",
     "SELECT k FROM t OFFSET 6",
-    # subqueries in FROM (inner SELECT is itself columnar-eligible)
+    # subqueries in FROM
     "SELECT id FROM (SELECT k AS id, val FROM t WHERE val > 0) sub WHERE id > 2",
     "SELECT grp, n FROM (SELECT grp, COUNT(*) AS n FROM t GROUP BY grp) counts ORDER BY n DESC, grp",
-    # NaN ordering exercises the total order (NULL/NaN last)
+    # NaN ordering exercises the total order (NULL/NaN last); mixed types
+    # sort numbers before text
     "SELECT val FROM t ORDER BY val DESC",
+    "SELECT mixed FROM t ORDER BY mixed",
+    "SELECT k, mixed FROM t ORDER BY mixed DESC, k",
+    "SELECT txt FROM t ORDER BY txt DESC",
+    "SELECT k, ROW_NUMBER() OVER (ORDER BY txt DESC) AS rn FROM t",
+    "SELECT k FROM t WHERE mixed BETWEEN 1 AND 2",
+    "SELECT k, txt NOT BETWEEN 'a' AND 'q' AS outside FROM t",
+    # joins and SELECT without FROM
+    "SELECT a.k, b.k AS bk, b.grp FROM t a JOIN t b ON a.grp = b.grp AND a.k < b.k",
+    "SELECT a.k, b.txt FROM t a LEFT JOIN t b ON a.k = b.k + 2 WHERE a.val > 0",
+    "SELECT * FROM t a JOIN t b ON a.mixed = b.k ORDER BY 1, 2",
+    "SELECT b.grp, COUNT(*) AS n FROM t a JOIN t b ON a.val < b.val GROUP BY b.grp ORDER BY n DESC, 1",
+    "SELECT 1 + 1 AS two, 'x' || 'y' AS xy",
+    "SELECT COUNT(*) AS n, 3 BETWEEN 1 AND 5 AS inside",
+    "SELECT 1 AS one WHERE 1 = 0",
 ]
 
-# Legacy error behaviours the interpreter has always had (TypeError on
-# uncomparable sort keys, aggregates inside CASE conditions, QUALIFY over an
-# output alias): the compiled engine must reproduce them exactly, whatever
-# the class and message.
+# Results pinned against stdlib sqlite3 (NULLs last in both directions,
+# where sqlite puts them first ascending).
+EXPECTED_QUERIES = [
+    ("SELECT s FROM s ORDER BY s DESC", {"s": ["b", "abc", "ab", "a"]}),
+    ("SELECT s FROM s ORDER BY s", {"s": ["a", "ab", "abc", "b"]}),
+    (
+        "SELECT s, ROW_NUMBER() OVER (ORDER BY s DESC) AS rn FROM s",
+        {"s": ["a", "ab", "abc", "b"], "rn": [4, 3, 2, 1]},
+    ),
+    ("SELECT v FROM m ORDER BY v", {"v": [1, 3.5, "two", None]}),
+    ("SELECT v FROM m ORDER BY v DESC", {"v": ["two", 3.5, 1, None]}),
+    ("SELECT x BETWEEN 1 AND 5 AS b FROM x", {"b": [True, False, True, False]}),
+    ("SELECT x >= 1 AND x <= 5 AS b FROM x", {"b": [True, False, True, False]}),
+    ("SELECT x NOT BETWEEN 1 AND 5 AS b FROM x", {"b": [False, True, False, True]}),
+]
+
+# Legacy error behaviours the oracle has always had (aggregates inside CASE
+# conditions, QUALIFY over an output alias): the engine must reproduce them
+# exactly, whatever the class and message.
 LEGACY_ERROR_PARITY_QUERIES = [
-    "SELECT mixed FROM t ORDER BY mixed",
     "SELECT grp, CASE WHEN COUNT(*) > 2 THEN 'big' ELSE 'small' END AS size_label FROM t GROUP BY grp",
     "SELECT k, ROW_NUMBER() OVER (ORDER BY val) AS rn FROM t QUALIFY rn <= 3",
 ]
@@ -193,13 +179,27 @@ ERROR_QUERIES = [
 
 @pytest.fixture(scope="module")
 def catalog():
-    return make_catalog([mixed_table()])
+    return make_catalog(
+        [
+            mixed_table(),
+            Table.from_dict("s", {"s": ["a", "ab", "abc", "b"]}),
+            Table.from_dict("m", {"v": [1, "two", 3.5, None]}),
+            Table.from_dict("x", {"x": ["3", "7", 2, "a"]}),
+        ]
+    )
 
 
 @pytest.mark.parametrize("sql", DETERMINISTIC_QUERIES)
-def test_battery_matches_interpreter(catalog, sql):
+def test_battery_matches_oracle(catalog, sql):
     result = check(catalog, sql)
     assert result[0] == "table", f"battery query unexpectedly failed: {result}"
+
+
+@pytest.mark.parametrize("sql,expected", EXPECTED_QUERIES)
+def test_battery_expected_values(catalog, sql, expected):
+    result = check(catalog, sql)
+    assert result[0] == "table", result
+    assert result[1].to_dict() == expected
 
 
 @pytest.mark.parametrize("sql", ERROR_QUERIES)
@@ -239,37 +239,6 @@ def test_constant_comparison_matrix(op):
     for lit in CONST_COMPARE_LITERALS:
         result = check(matrix_catalog, f"SELECT v, v {op} {lit} AS r FROM t")
         assert result[0] == "table", (lit, result)
-
-
-class TestEngineSelection:
-    def test_single_table_runs_columnar(self, catalog):
-        executor = Executor(catalog, compiled=True)
-        executor.execute(parse("SELECT k FROM t WHERE val > 1"))
-        assert executor.last_execution_mode == "columnar"
-
-    def test_compiled_false_runs_rowdict(self, catalog):
-        executor = Executor(catalog, compiled=False)
-        executor.execute(parse("SELECT k FROM t WHERE val > 1"))
-        assert executor.last_execution_mode == "rowdict"
-
-    def test_join_falls_back_to_rowdict(self, catalog):
-        executor = Executor(catalog, compiled=True)
-        executor.execute(parse("SELECT a.k FROM t a JOIN t b ON a.k = b.k"))
-        assert executor.last_execution_mode == "rowdict"
-
-    def test_no_from_falls_back_to_rowdict(self, catalog):
-        executor = Executor(catalog, compiled=True)
-        executor.execute(parse("SELECT 1 + 1"))
-        assert executor.last_execution_mode == "rowdict"
-
-    def test_env_var_escape_hatch(self, catalog, monkeypatch):
-        monkeypatch.setenv("REPRO_SQL_COMPILED", "0")
-        executor = Executor(catalog)
-        assert executor.compiled is False
-        monkeypatch.setenv("REPRO_SQL_COMPILED", "1")
-        assert Executor(catalog).compiled is True
-        monkeypatch.delenv("REPRO_SQL_COMPILED")
-        assert Executor(catalog).compiled is True
 
 
 class TestEmptyTableParity:
@@ -416,18 +385,11 @@ def select_queries(draw):
 
 @settings(max_examples=120, deadline=None)
 @given(table=tables(), sql=select_queries())
-def test_random_selects_match_interpreter(table, sql):
-    catalog = make_catalog([table])
-    compiled_result, _ = run_engine(catalog, sql, compiled=True)
-    interpreted_result, _ = run_engine(catalog, sql, compiled=False)
-    assert_cell_identical(sql, compiled_result, interpreted_result)
+def test_random_selects_match_oracle(table, sql):
+    check(make_catalog([table]), sql)
 
 
 @settings(max_examples=60, deadline=None)
 @given(table=tables(), predicate=predicates())
-def test_random_predicates_match_interpreter(table, predicate):
-    catalog = make_catalog([table])
-    sql = f"SELECT k FROM t WHERE {predicate}"
-    compiled_result, _ = run_engine(catalog, sql, compiled=True)
-    interpreted_result, _ = run_engine(catalog, sql, compiled=False)
-    assert_cell_identical(sql, compiled_result, interpreted_result)
+def test_random_predicates_match_oracle(table, predicate):
+    check(make_catalog([table]), f"SELECT k FROM t WHERE {predicate}")

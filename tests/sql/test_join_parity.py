@@ -1,12 +1,13 @@
-"""Hash-join / predicate-pushdown parity against the nested-loop baseline.
+"""Join parity: the engine's hash joins and pushdown vs nested loops.
 
-Every query here runs twice — once with the optimised plan (hash join +
-WHERE pushdown, the default) and once with both optimisations disabled via
-the :class:`Executor` flags — and the two result tables must be identical,
-including row order.  The cases cover the join surface the optimiser has to
-preserve: INNER/LEFT equi-joins, non-equi joins, empty inputs, NULL join
-keys, implicit numeric/string key coercion, residual predicates, and
-multi-join chains.
+Every query here runs on the engine (hash join where the ON condition has an
+equality, single-side WHERE conjuncts applied below the joins) and on the
+row-dict oracle (nested loops, WHERE after the joins) through
+``rowdict_oracle.check``: column names, row order, cell types and values, or
+error class and message, must be identical.  The cases cover the join
+surface the engine has to preserve: INNER/LEFT equi-joins, non-equi joins,
+empty inputs, NULL join keys, implicit numeric/string key coercion, residual
+predicates, and multi-join chains.
 """
 
 from __future__ import annotations
@@ -18,25 +19,21 @@ import pytest
 from repro.dataframe import Table
 from repro.sql import Database
 from repro.sql.errors import ExecutionError
-from repro.sql.parser import parse
+from rowdict_oracle import check
 
 
-def _database(tables, optimised: bool) -> Database:
+def _database(tables) -> Database:
     db = Database()
     for table in tables:
         db.register(table)
-    db.executor.hash_join = optimised
-    db.executor.predicate_pushdown = optimised
     return db
 
 
 def run_both(tables, query):
-    """Run ``query`` with and without the join optimisations; assert parity."""
-    fast = _database(tables, optimised=True).sql(query)
-    slow = _database(tables, optimised=False).sql(query)
-    assert fast.column_names == slow.column_names
-    assert fast.to_dict() == slow.to_dict()
-    return fast
+    """Run ``query`` on the engine and the oracle; assert parity."""
+    result = check(_database(tables).catalog, query)
+    assert result[0] == "table", result
+    return result[1]
 
 
 @pytest.fixture
@@ -348,18 +345,50 @@ class TestRandomisedParity:
 
 
 class TestScanKeyHygiene:
-    def test_single_table_scan_has_no_qualified_duplicates(self, orders):
-        db = _database([orders], optimised=True)
-        rows, columns, where = db.executor._resolve_from(parse("SELECT * FROM orders o"))
-        assert columns == ["order_id", "customer", "amount"]
-        assert all(set(row) == set(columns) for row in rows)
+    def test_single_table_star_has_no_qualified_duplicates(self, orders):
+        result = run_both([orders], "SELECT * FROM orders o")
+        assert result.column_names == ["order_id", "customer", "amount"]
 
     def test_qualified_reference_still_resolves_without_join(self, orders):
-        db = _database([orders], optimised=True)
-        result = db.sql("SELECT o.amount FROM orders o WHERE o.order_id = 2")
+        result = run_both([orders], "SELECT o.amount FROM orders o WHERE o.order_id = 2")
         assert result.to_dict() == {"amount": [25]}
 
     def test_unknown_column_still_raises(self, orders):
-        db = _database([orders], optimised=True)
+        db = _database([orders])
         with pytest.raises(ExecutionError):
             db.sql("SELECT missing FROM orders")
+        result = check(db.catalog, "SELECT o.missing FROM orders o JOIN orders p ON o.order_id = p.order_id")
+        assert result[:2] == ("error", ExecutionError)
+
+
+class TestJoinNameResolution:
+    """``alias.column`` first, then the bare name; the first input wins a bare-name clash."""
+
+    @pytest.fixture
+    def tables(self):
+        return [
+            Table.from_dict("l", {"k": [1, 2, 3], "v": ["a", "b", "c"]}),
+            Table.from_dict("r", {"k": [3, 1, 1], "v": ["x", "y", "z"]}),
+        ]
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            "SELECT k, v, r.v AS rv FROM l JOIN r ON l.k = r.k",
+            "SELECT q.k, r.k AS rk FROM l JOIN r ON l.k = r.k",
+            "SELECT * FROM l LEFT JOIN r ON l.k = r.k WHERE v <> 'c'",
+            # A repeated table name: `r.v` takes the right input's value on
+            # matched rows and keeps the left input's on padded rows.
+            "SELECT l.k, r.v FROM l JOIN r ON l.k = r.k LEFT JOIN r ON r.k = 3",
+            "SELECT l.k, r.v FROM l JOIN r ON l.k = r.k LEFT JOIN r ON r.k = 4",
+            "SELECT r.k, r.v FROM r LEFT JOIN r ON r.v = 'y'",
+            "SELECT r.k, r.v FROM r LEFT JOIN r ON r.v = 'q'",
+            "SELECT sub.k, r.v FROM (SELECT k FROM l WHERE k > 1) sub JOIN r ON sub.k = r.k",
+        ],
+    )
+    def test_resolution_matches_oracle(self, tables, query):
+        run_both(tables, query)
+
+    def test_key_expression_errors_match(self, tables):
+        result = check(_database(tables).catalog, "SELECT l.k FROM l JOIN r ON l.k = r.nope")
+        assert result[:2] == ("error", ExecutionError)

@@ -2,11 +2,11 @@
 
 Two regressions are pinned here:
 
-* ``_numeric_pair`` used to accept ``'nan'``/``'inf'``/``'Infinity'`` strings
-  as numbers, and ``_compare`` answered 0 for NaN against anything — so
+* ``numeric_pair`` used to accept ``'nan'``/``'inf'``/``'Infinity'`` strings
+  as numbers, and ``compare_values`` answered 0 for NaN against anything — so
   ``'nan' >= 5`` and ``'nan' <= 5`` were *both* true.  Non-finite string
   casts are now rejected (such strings compare textually, like any other
-  non-numeric string) and ``_compare`` is a deterministic total order with
+  non-numeric string) and ``compare_values`` is a deterministic total order with
   NaN after every real value.
 * ``LIKE`` had no way to match a literal ``%`` or ``_``; the standard
   ``ESCAPE`` clause is now supported end to end (tokenizer → parser →
@@ -17,10 +17,12 @@ import math
 
 import pytest
 
+from repro.dataframe.schema import is_null
 from repro.dataframe.table import Table
 from repro.sql.database import Database
 from repro.sql.errors import ExecutionError
-from repro.sql.executor import _compare, _like_to_regex, _sort_key
+from repro.sql.comparison import compare_values
+from repro.sql.scalar import _like_to_regex, sort_key
 from repro.sql.parser import parse_expression
 from repro.sql.ast_nodes import Like
 
@@ -67,25 +69,52 @@ class TestNonFiniteStrings:
 class TestCompareTotalOrder:
     def test_nan_sorts_after_every_number(self):
         nan = float("nan")
-        assert _compare(nan, 5.0) == 1
-        assert _compare(5.0, nan) == -1
-        assert _compare(nan, float("inf")) == 1
-        assert _compare(float("-inf"), nan) == -1
-        assert _compare(nan, nan) == 0
+        assert compare_values(nan, 5.0) == 1
+        assert compare_values(5.0, nan) == -1
+        assert compare_values(nan, float("inf")) == 1
+        assert compare_values(float("-inf"), nan) == -1
+        assert compare_values(nan, nan) == 0
 
     def test_infinities_compare_numerically(self):
-        assert _compare(float("inf"), 1e308) == 1
-        assert _compare(float("-inf"), -1e308) == -1
-        assert _compare(float("inf"), float("inf")) == 0
+        assert compare_values(float("inf"), 1e308) == 1
+        assert compare_values(float("-inf"), -1e308) == -1
+        assert compare_values(float("inf"), float("inf")) == 0
 
     def test_sort_key_puts_nan_last_in_both_directions(self):
         values = [3.0, float("nan"), 1.0, float("inf"), -2.0]
-        ascending = sorted(values, key=lambda v: _sort_key(v, False))
+        ascending = sorted(values, key=lambda v: sort_key(v, False))
         assert math.isnan(ascending[-1])
         assert ascending[:4] == [-2.0, 1.0, 3.0, float("inf")]
-        descending = sorted(values, key=lambda v: _sort_key(v, True))
+        descending = sorted(values, key=lambda v: sort_key(v, True))
         assert math.isnan(descending[-1])
         assert descending[:4] == [float("inf"), 3.0, 1.0, -2.0]
+
+    def test_sort_key_descending_text_keeps_prefixes_in_order(self):
+        # sqlite: ORDER BY s DESC over a, ab, abc, b gives b, abc, ab, a.
+        values = ["a", "ab", "abc", "b"]
+        assert sorted(values, key=lambda v: sort_key(v, True)) == ["b", "abc", "ab", "a"]
+        assert sorted(values, key=lambda v: sort_key(v, False)) == ["a", "ab", "abc", "b"]
+
+    def test_sort_key_is_total_over_mixed_types(self):
+        # Numbers before text ascending, after it descending (as sqlite);
+        # NULL and NaN last in both directions.
+        values = [1, "two", None, 3.5, float("nan"), True, "10"]
+        ascending = sorted(values, key=lambda v: sort_key(v, False))
+        assert ascending[:5] == [1, True, 3.5, "10", "two"]
+        assert all(is_null(v) for v in ascending[5:])
+        descending = sorted(values, key=lambda v: sort_key(v, True))
+        assert descending[:5] == ["two", "10", 3.5, 1, True]
+        assert all(is_null(v) for v in descending[5:])
+
+    def test_order_by_descending_text_and_mixed_types(self):
+        db = Database()
+        db.register(Table.from_dict("s", {"s": ["a", "ab", "abc", "b"]}))
+        db.register(Table.from_dict("m", {"v": [1, "two", 3.5, None]}))
+        assert db.sql("SELECT s FROM s ORDER BY s DESC").to_dict() == {"s": ["b", "abc", "ab", "a"]}
+        ranked = db.sql("SELECT s, ROW_NUMBER() OVER (ORDER BY s DESC) AS rn FROM s")
+        assert ranked.to_dict() == {"s": ["a", "ab", "abc", "b"], "rn": [4, 3, 2, 1]}
+        assert db.sql("SELECT v FROM m ORDER BY v").to_dict() == {"v": [1, 3.5, "two", None]}
+        assert db.sql("SELECT v FROM m ORDER BY v DESC").to_dict() == {"v": ["two", 3.5, 1, None]}
 
     def test_order_by_sorts_nan_rows_last(self):
         db = Database()

@@ -1,4 +1,4 @@
-"""The plan phase: stage pipelines, engine eligibility, description."""
+"""The plan phase: stage pipelines and their description."""
 
 from repro.sql.parser import parse
 from repro.sql.planner import plan_select
@@ -13,7 +13,6 @@ class TestStagePipelines:
     def test_plain_scan_project(self):
         plan, stages = stages_of("SELECT name FROM people")
         assert stages == ["ScanNode", "ProjectNode"]
-        assert plan.columnar_eligible
 
     def test_full_single_table_pipeline(self):
         plan, stages = stages_of(
@@ -31,7 +30,6 @@ class TestStagePipelines:
             "OrderNode",
             "LimitNode",
         ]
-        assert plan.columnar_eligible
 
     def test_group_by_replaces_window_project_qualify(self):
         plan, stages = stages_of(
@@ -61,39 +59,29 @@ class TestStagePipelines:
         assert len(plan.windows) == 2
 
 
-class TestColumnarEligibility:
-    def test_single_table_is_eligible(self):
-        plan, _ = stages_of("SELECT name FROM people WHERE age > 1")
-        assert plan.columnar_eligible
-        assert plan.columnar_blocked_by is None
+class TestFromShapes:
+    def test_no_from_plans_no_scan(self):
+        plan, stages = stages_of("SELECT 1 + 1")
+        assert plan.scan is None
+        assert stages == ["ProjectNode"]
 
-    def test_no_from_is_blocked(self):
-        plan, _ = stages_of("SELECT 1 + 1")
-        assert not plan.columnar_eligible
-        assert plan.columnar_blocked_by == "no FROM clause"
-
-    def test_joins_are_blocked(self):
-        plan, _ = stages_of("SELECT * FROM a JOIN b ON a.x = b.x")
-        assert not plan.columnar_eligible
-        assert plan.columnar_blocked_by == "joins"
-
-    def test_subquery_from_is_eligible(self):
+    def test_subquery_from_plans_one_scan(self):
         # The inner SELECT gets its own plan when it executes.
-        plan, _ = stages_of("SELECT name FROM (SELECT name FROM people) sub")
-        assert plan.columnar_eligible
+        plan, stages = stages_of("SELECT name FROM (SELECT name FROM people) sub")
+        assert stages == ["ScanNode", "ProjectNode"]
+        assert plan.scan.ref.subquery is not None
 
 
 class TestDescribe:
     def test_describe_lists_stages_in_order(self):
         plan, _ = stages_of("SELECT name FROM people WHERE age > 1 ORDER BY name")
-        text = plan.describe()
-        lines = text.splitlines()
-        assert lines[0] == "SelectPlan engine=columnar"
-        assert "Scan(people)" in lines[1]
-        assert "Filter" in lines[2]
-        assert "Project" in lines[3]
-        assert "Order" in lines[4]
+        assert plan.describe().splitlines() == [
+            "0: Scan(people)",
+            "1: Filter",
+            "2: Project(items=1)",
+            "3: Order(keys=1)",
+        ]
 
-    def test_describe_names_the_blocker(self):
+    def test_describe_lists_joins(self):
         plan, _ = stages_of("SELECT * FROM a JOIN b ON a.x = b.x")
-        assert "blocked by: joins" in plan.describe().splitlines()[0]
+        assert plan.describe().splitlines()[:2] == ["0: Scan(a)", "1: Join(INNER, b)"]

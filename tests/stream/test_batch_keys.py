@@ -4,10 +4,10 @@ from repro.stream.state import _batch_step_keys
 
 
 def row_major_keys(rows, key_indexes):
-    from repro.sql.executor import _hashable
+    from repro.sql.scalar import hashable
 
     return [
-        [tuple(_hashable(row[i]) for i in key_idx) for row in rows]
+        [tuple(hashable(row[i]) for i in key_idx) for row in rows]
         for key_idx in key_indexes
     ]
 
