@@ -85,10 +85,10 @@ class CleaningContext:
         self._profile_cache.pop(new_table_name, None)
 
     # -- profiling --------------------------------------------------------------
-    def profile(self, refresh: bool = False) -> TableProfile:
-        """Profile of the *current* table version (cached until the table advances)."""
+    def profile(self) -> TableProfile:
+        """Lazy profile of the *current* table version, built once per version."""
         name = self.current_table_name
-        if refresh or name not in self._profile_cache:
+        if name not in self._profile_cache:
             self._profile_cache[name] = profile_table(
                 self.data_only_table(),
                 max_values_per_column=self.config.sample_values,

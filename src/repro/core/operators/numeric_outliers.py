@@ -23,7 +23,7 @@ class NumericOutlierOperator(CleaningOperator):
 
     def run(self, context: CleaningContext, hil: HumanInTheLoop) -> List[OperatorResult]:
         results: List[OperatorResult] = []
-        profile = context.profile(refresh=True)
+        profile = context.profile()
         for column_name in context.data_columns():
             column_profile = profile.column(column_name)
             if not column_profile.is_numeric:

@@ -30,7 +30,7 @@ class PatternOutlierOperator(CleaningOperator):
 
     def run(self, context: CleaningContext, hil: HumanInTheLoop) -> List[OperatorResult]:
         results: List[OperatorResult] = []
-        profile = context.profile(refresh=True)
+        profile = context.profile()
         for column_name in context.data_columns():
             column_profile = profile.column(column_name)
             if column_profile.dtype is not ColumnType.VARCHAR:

@@ -25,7 +25,7 @@ class ColumnUniquenessOperator(CleaningOperator):
 
     def run(self, context: CleaningContext, hil: HumanInTheLoop) -> List[OperatorResult]:
         results: List[OperatorResult] = []
-        profile = context.profile(refresh=True)
+        profile = context.profile()
         threshold = context.config.uniqueness_threshold
         for column_name in context.data_columns():
             column_profile = profile.column(column_name)

@@ -13,7 +13,6 @@ from repro.profiling.table_profile import TableProfile, profile_table
 from repro.profiling.fd import (
     FDCandidate,
     discover_fds,
-    fd_entropy_score,
     fd_violation_groups,
 )
 from repro.profiling.duplicates import duplicate_row_count, duplicate_row_samples
@@ -31,7 +30,6 @@ __all__ = [
     "profile_table",
     "FDCandidate",
     "discover_fds",
-    "fd_entropy_score",
     "fd_violation_groups",
     "duplicate_row_count",
     "duplicate_row_samples",

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Any, Dict, List, Optional
 
 from repro.dataframe.table import Table
 from repro.profiling.column_profile import ColumnProfile, profile_column
@@ -11,27 +10,64 @@ from repro.profiling.duplicates import duplicate_row_count, duplicate_row_sample
 from repro.profiling.fd import FDCandidate, discover_fds
 
 
-@dataclass
 class TableProfile:
-    """Statistical summary of a table: the context Cocoon gives to the LLM."""
+    """Statistical summary of one table version: the context Cocoon gives to the LLM.
 
-    table_name: str
-    row_count: int
-    column_profiles: Dict[str, ColumnProfile] = field(default_factory=dict)
-    fd_candidates: List[FDCandidate] = field(default_factory=list)
-    duplicate_rows: int = 0
-    duplicate_samples: List[dict] = field(default_factory=list)
+    Tables are immutable, so each part of the profile is computed from the
+    table on first read and cached: a column's profile when that column is
+    asked for, the FD candidates and the duplicate statistics only when an
+    operator reads them.
+    """
+
+    def __init__(self, table: Table, max_values_per_column: int = 1000, fd_min_score: float = 0.9):
+        self.table_name = table.name
+        self.row_count = table.num_rows
+        self._table = table
+        self._max_values = max_values_per_column
+        self._fd_min_score = fd_min_score
+        self._columns: Dict[str, ColumnProfile] = {}
+        self._fd_candidates: Optional[List[FDCandidate]] = None
+        self._duplicate_rows: Optional[int] = None
+        self._duplicate_samples: Optional[List[Dict[str, Any]]] = None
 
     def column(self, name: str) -> ColumnProfile:
-        return self.column_profiles[name]
+        profile = self._columns.get(name)
+        if profile is None:
+            profile = profile_column(self._table.column(name), max_values=self._max_values)
+            self._columns[name] = profile
+        return profile
 
     @property
     def column_names(self) -> List[str]:
-        return list(self.column_profiles.keys())
+        return self._table.column_names
+
+    @property
+    def column_profiles(self) -> Dict[str, ColumnProfile]:
+        return {name: self.column(name) for name in self.column_names}
+
+    @property
+    def fd_candidates(self) -> List[FDCandidate]:
+        if self._fd_candidates is None:
+            self._fd_candidates = (
+                discover_fds(self._table, min_score=self._fd_min_score) if self.row_count > 0 else []
+            )
+        return self._fd_candidates
+
+    @property
+    def duplicate_rows(self) -> int:
+        if self._duplicate_rows is None:
+            self._duplicate_rows = duplicate_row_count(self._table)
+        return self._duplicate_rows
+
+    @property
+    def duplicate_samples(self) -> List[Dict[str, Any]]:
+        if self._duplicate_samples is None:
+            self._duplicate_samples = duplicate_row_samples(self._table)
+        return self._duplicate_samples
 
     def summary_text(self) -> str:
         """Human-readable profile summary (used in reports and examples)."""
-        lines = [f"Table {self.table_name}: {self.row_count} rows, {len(self.column_profiles)} columns"]
+        lines = [f"Table {self.table_name}: {self.row_count} rows, {len(self.column_names)} columns"]
         for profile in self.column_profiles.values():
             lines.append(
                 f"  - {profile.name} ({profile.dtype}): {profile.distinct_count} distinct, "
@@ -45,25 +81,6 @@ class TableProfile:
         return "\n".join(lines)
 
 
-def profile_table(
-    table: Table,
-    max_values_per_column: int = 1000,
-    fd_min_score: float = 0.9,
-    discover_dependencies: bool = True,
-) -> TableProfile:
-    """Profile every column, discover FD candidates and count duplicates."""
-    column_profiles = {
-        column.name: profile_column(column, max_values=max_values_per_column)
-        for column in table.columns
-    }
-    fd_candidates: List[FDCandidate] = []
-    if discover_dependencies and table.num_rows > 0:
-        fd_candidates = discover_fds(table, min_score=fd_min_score)
-    return TableProfile(
-        table_name=table.name,
-        row_count=table.num_rows,
-        column_profiles=column_profiles,
-        fd_candidates=fd_candidates,
-        duplicate_rows=duplicate_row_count(table),
-        duplicate_samples=duplicate_row_samples(table),
-    )
+def profile_table(table: Table, max_values_per_column: int = 1000, fd_min_score: float = 0.9) -> TableProfile:
+    """The lazy profile of ``table``: column stats, FD candidates and duplicate counts on first read."""
+    return TableProfile(table, max_values_per_column=max_values_per_column, fd_min_score=fd_min_score)

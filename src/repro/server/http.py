@@ -119,7 +119,15 @@ class GatewayRequestHandler(BaseHTTPRequestHandler):
         self._send_json(status, {"error": message}, headers)
 
     def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # Where the body ends is unknown, so the connection cannot be reused.
+            self.close_connection = True
+            raise BadRequest(f"invalid Content-Length {header!r}")
         if length > MAX_BODY_BYTES:
             raise BadRequest(f"request body of {length} bytes exceeds the {MAX_BODY_BYTES} limit")
         self._body_consumed = True

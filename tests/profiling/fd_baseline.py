@@ -6,10 +6,38 @@ implementation's exact output.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from collections import Counter, defaultdict
+from typing import Dict, List, Sequence
 
+from repro.dataframe.schema import is_null
 from repro.dataframe.table import Table
-from repro.profiling.fd import FDCandidate, fd_entropy_score, fd_violation_groups
+from repro.profiling.fd import FDCandidate, _entropy, fd_violation_groups
+
+
+def fd_entropy_score(table: Table, determinant: str, dependent: str) -> float:
+    """Score ``determinant -> dependent`` in [0, 1]; 1.0 means the FD holds exactly."""
+    lhs = table.column(determinant).values
+    rhs = table.column(dependent).values
+    pairs = [
+        (str(l), str(r))
+        for l, r in zip(lhs, rhs)
+        if not is_null(l) and not is_null(r)
+    ]
+    if not pairs:
+        return 0.0
+    rhs_counts = Counter(r for _, r in pairs)
+    h_rhs = _entropy(list(rhs_counts.values()))
+    if h_rhs == 0.0:
+        return 1.0
+    groups: Dict[str, Counter] = defaultdict(Counter)
+    for l, r in pairs:
+        groups[l][r] += 1
+    total = len(pairs)
+    h_conditional = 0.0
+    for counter in groups.values():
+        group_total = sum(counter.values())
+        h_conditional += (group_total / total) * _entropy(list(counter.values()))
+    return max(0.0, 1.0 - h_conditional / h_rhs)
 
 
 def discover_fds_baseline(

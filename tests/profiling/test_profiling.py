@@ -5,7 +5,6 @@ from repro.profiling import (
     discover_fds,
     duplicate_row_count,
     duplicate_row_samples,
-    fd_entropy_score,
     fd_violation_groups,
     match_fraction,
     pattern_counts,
@@ -13,6 +12,8 @@ from repro.profiling import (
     profile_table,
 )
 from repro.profiling.patterns import non_matching_values
+
+from fd_baseline import fd_entropy_score
 
 
 class TestColumnProfile:

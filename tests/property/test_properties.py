@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import string
+import sys
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
@@ -11,8 +13,11 @@ from repro.evaluation import EvaluationConventions, evaluate_repairs, values_equ
 from repro.evaluation.metrics import error_cells
 from repro.llm import parsing
 from repro.llm.semantic import edit_distance, value_shape
-from repro.profiling.fd import fd_entropy_score
 from repro.sql import Database
+
+# The entropy scorer lives beside the FD baseline it serves.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "profiling"))
+from fd_baseline import fd_entropy_score  # noqa: E402
 
 # -- strategies -------------------------------------------------------------------
 cell_text = st.text(

@@ -229,6 +229,34 @@ class TestKeepAliveBodySync:
             connection.close()
 
 
+class TestBadContentLength:
+    @pytest.mark.parametrize("value", ["abc", "-1"])
+    def test_bad_content_length_is_400(self, server, value):
+        # A non-integer length used to surface as a 500, and a negative one
+        # held the handler thread in a read until the client hung up.
+        import socket
+
+        host, port = server.split("//")[1].split(":")
+        request = (
+            f"POST /v1/jobs HTTP/1.1\r\nHost: {host}\r\n"
+            f"Content-Type: application/json\r\nContent-Length: {value}\r\n\r\n"
+        ).encode("ascii")
+        started = time.monotonic()
+        with socket.create_connection((host, int(port)), timeout=5) as sock:
+            sock.sendall(request)
+            reply = b""
+            while True:
+                chunk = sock.recv(4096)
+                if not chunk:
+                    break
+                reply += chunk
+        assert time.monotonic() - started < 5
+        status_line, _, rest = reply.partition(b"\r\n")
+        assert status_line.split()[1] == b"400"
+        body = json.loads(rest.partition(b"\r\n\r\n")[2])
+        assert "Content-Length" in body["error"]
+
+
 class TestMetricsOverHTTP:
     def test_metrics_document(self, server):
         status, _, doc = _request(server, "/metrics")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 import warnings
 
 import pytest
@@ -107,13 +108,13 @@ class TestSingleChunkAndFallback:
             def _complete(self, prompt, system=None):
                 raise RuntimeError("chunk worker outage")
 
-        built = {"n": 0}
-
         def flaky_factory():
-            # The first two clients (one per chunk) explode; the fallback's
-            # whole-table client works.
-            built["n"] += 1
-            return ExplodingLLM() if built["n"] <= 2 else SimulatedSemanticLLM()
+            # Chunk clients are built on the chunk pool's threads and explode;
+            # the fallback's whole-table client is built on the caller's
+            # thread and works.  Counting calls would not do: once chunk 0
+            # fails, the pool may cancel chunk 1 before its client is built.
+            on_chunk_thread = threading.current_thread().name.startswith("repro-chunk")
+            return ExplodingLLM() if on_chunk_thread else SimulatedSemanticLLM()
 
         chunked = clean_chunked(hospital.dirty, chunk_rows=100, llm_factory=flaky_factory)
         assert chunked.fell_back
